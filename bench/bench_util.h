@@ -268,7 +268,7 @@ struct BenchFlags {
   /// 0 = "use the bench's own default" (see ResolveRepeats).
   int repeats = 0;
   uint64_t seed = 7;
-  std::vector<std::string> datasets = {"ciao", "epinions", "librarything"};
+  std::vector<std::string> datasets = ExperimentDatasetNames();
   std::vector<int> budgets = {2, 3, 4, 5};
   std::vector<int> opponents = {1, 2, 3, 4};
   std::vector<std::string> methods;
@@ -301,7 +301,15 @@ struct BenchFlags {
         flags.seed = static_cast<uint64_t>(std::atoll(v));
       } else if (const char* v = value_of("--datasets=")) {
         flags.datasets.clear();
-        for (auto& part : StrSplit(v, ',')) flags.datasets.push_back(part);
+        for (auto& part : StrSplit(v, ',')) {
+          const Status status = CheckExperimentDatasetName(part);
+          if (!status.ok()) {
+            std::fprintf(stderr, "--datasets: %s\n",
+                         status.message().c_str());
+            std::exit(2);
+          }
+          flags.datasets.push_back(part);
+        }
       } else if (const char* v = value_of("--budgets=")) {
         flags.budgets.clear();
         for (auto& part : StrSplit(v, ','))

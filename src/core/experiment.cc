@@ -13,6 +13,18 @@
 namespace msopds {
 namespace {
 
+struct DatasetProfile {
+  const char* name;
+  SyntheticConfig (*config)(double scale);
+};
+
+// The one list of dataset profiles: names and generators stay together.
+constexpr DatasetProfile kDatasetProfiles[] = {
+    {"ciao", CiaoProfile},
+    {"epinions", EpinionsProfile},
+    {"librarything", LibraryThingProfile},
+};
+
 std::vector<OpponentSpec> AnticipatedOpponents(const GameContext& context) {
   std::vector<OpponentSpec> specs;
   for (size_t q = 1; q < context.demos.size(); ++q) {
@@ -124,20 +136,38 @@ AttackFactory MakeAttackFactory(const std::string& method) {
   return {};
 }
 
+const std::vector<std::string>& ExperimentDatasetNames() {
+  static const std::vector<std::string> names = [] {
+    std::vector<std::string> out;
+    for (const DatasetProfile& profile : kDatasetProfiles) {
+      out.push_back(profile.name);
+    }
+    return out;
+  }();
+  return names;
+}
+
+Status CheckExperimentDatasetName(const std::string& name) {
+  for (const std::string& valid : ExperimentDatasetNames()) {
+    if (name == valid) return Status::Ok();
+  }
+  std::string message = "unknown dataset '" + name + "'; valid names:";
+  for (const std::string& valid : ExperimentDatasetNames()) {
+    message += " " + valid;
+  }
+  return Status::InvalidArgument(message);
+}
+
 Dataset MakeExperimentDataset(const std::string& name, double scale,
                               uint64_t seed) {
-  SyntheticConfig config;
-  if (name == "ciao") {
-    config = CiaoProfile(scale);
-  } else if (name == "epinions") {
-    config = EpinionsProfile(scale);
-  } else if (name == "librarything") {
-    config = LibraryThingProfile(scale);
-  } else {
-    MSOPDS_LOG(Fatal) << "unknown dataset profile: " << name;
+  for (const DatasetProfile& profile : kDatasetProfiles) {
+    if (name == profile.name) {
+      Rng rng(seed);
+      return GenerateSynthetic(profile.config(scale), &rng);
+    }
   }
-  Rng rng(seed);
-  return GenerateSynthetic(config, &rng);
+  MSOPDS_LOG(Fatal) << CheckExperimentDatasetName(name).message();
+  return {};
 }
 
 GameConfig DefaultGameConfig() {

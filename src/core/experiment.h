@@ -7,6 +7,7 @@
 #include "core/multiplayer_game.h"
 #include "core/msopds.h"
 #include "data/synthetic.h"
+#include "util/status.h"
 
 namespace msopds {
 
@@ -25,8 +26,18 @@ std::vector<std::string> Fig9Methods();
 /// CHECK-fails on unknown names.
 AttackFactory MakeAttackFactory(const std::string& method);
 
-/// Generates the named synthetic dataset profile ("ciao", "epinions",
-/// "librarything") at `scale`, deterministically from `seed`.
+/// The synthetic dataset profile names, in paper order: "ciao",
+/// "epinions", "librarything".
+const std::vector<std::string>& ExperimentDatasetNames();
+
+/// Ok when `name` is one of ExperimentDatasetNames(); otherwise an
+/// InvalidArgument whose message lists the valid names, for callers that
+/// report user input errors (bench flags) instead of aborting.
+Status CheckExperimentDatasetName(const std::string& name);
+
+/// Generates the named synthetic dataset profile at `scale`,
+/// deterministically from `seed`. `name` must pass
+/// CheckExperimentDatasetName (a fatal error otherwise).
 Dataset MakeExperimentDataset(const std::string& name, double scale,
                               uint64_t seed);
 

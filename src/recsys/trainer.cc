@@ -4,7 +4,6 @@
 #include <cmath>
 #include <memory>
 
-#include "tensor/compile.h"
 #include "tensor/grad.h"
 #include "tensor/optim.h"
 #include "util/arena.h"
@@ -57,23 +56,6 @@ TrainResult TrainModel(RatingModel* model, const std::vector<Rating>& ratings,
   TrainResult result;
   result.loss_history.reserve(static_cast<size_t>(options.epochs));
 
-  // Full-batch epochs all build the same tape; compile it on the first
-  // epoch and replay the planned slab afterwards. The epoch-0 compile IS
-  // the epoch-0 eager run (its captured outputs are used directly), and
-  // replays are bit-identical to eager epochs, so the flag changes no
-  // numbers. Health rollbacks and retries replay the same tape; if a
-  // replay ever diverges from the recorded allocation sequence it falls
-  // back to the arena for that run (CompiledTape contract).
-  std::shared_ptr<CompiledTape> tape;
-  double step_loss = 0.0;
-  std::vector<Tensor> step_grads;
-  auto build_step = [&]() -> Variable {
-    Variable loss = model->TrainingLoss(ratings);
-    step_loss = loss.value().item();
-    step_grads = GradValues(loss, *params);
-    return loss;
-  };
-
   for (int epoch = 0; epoch < options.epochs; ++epoch) {
     // Pre-epoch snapshot so an unhealthy epoch can be rolled back; a NaN
     // that slips into the parameters is unrecoverable otherwise.
@@ -89,23 +71,15 @@ TrainResult TrainModel(RatingModel* model, const std::vector<Rating>& ratings,
     double epoch_loss = 0.0;
     if (options.batch_size == 0 ||
         options.batch_size >= static_cast<int>(ratings.size())) {
-      if (!options.compile_tape) {
-        Variable root = build_step();
-      } else if (tape == nullptr) {
-        tape = CompiledTape::Compile(build_step);
-      } else {
-        tape->Replay(build_step);
-      }
-      epoch_loss = step_loss;
-      // The gradient tensors live in the tape's slab when replayed; the
-      // fault hook and optimizer only read them (or mutate in place)
-      // before the next replay overwrites them, so no copy is needed.
-      faults.MaybeCorruptTrainerGradients(&step_grads);
+      Variable loss = model->TrainingLoss(ratings);
+      epoch_loss = loss.value().item();
+      std::vector<Tensor> grads = GradValues(loss, *params);
+      faults.MaybeCorruptTrainerGradients(&grads);
       if (options.guard_numerics &&
-          (!std::isfinite(epoch_loss) || !AllFinite(step_grads))) {
+          (!std::isfinite(epoch_loss) || !AllFinite(grads))) {
         health = Health::kNonFinite;
       } else {
-        optimizer->Step(params, step_grads);
+        optimizer->Step(params, grads);
       }
     } else {
       shuffle_rng.Shuffle(&shuffled);

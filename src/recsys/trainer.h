@@ -31,14 +31,6 @@ struct TrainOptions {
   /// untouched. Results are bit-identical at any setting — the parallel
   /// runtime's determinism contract (DESIGN.md "Parallel runtime").
   int num_threads = 0;
-  /// Full-batch runs rebuild the same loss+backward tape every epoch, so
-  /// epoch 0 compiles it (tensor/compile.h): the allocation timeline is
-  /// recorded and every temporary gets a planned slab offset; later
-  /// epochs replay the plan with zero arena traffic. Bit-identical to
-  /// the eager path — the plan changes where buffers live, never what is
-  /// computed (DESIGN.md §14). Ignored for mini-batch runs (the last
-  /// partial batch changes the tape shape every epoch).
-  bool compile_tape = true;
 
   // --- Resilience (numerical-health guard + retry policy) ---
   /// Scan every epoch's loss and gradients for NaN/inf and watch the

@@ -1,7 +1,6 @@
 #!/usr/bin/env bash
 # Reproducible benchmark snapshot: builds the release tree and runs the
-# scalar-vs-SIMD / eager-vs-compiled-tape A/B bench (bench/simd_bench.cc)
-# at pinned seeds and one kernel thread, writing the committed
+# scalar-vs-SIMD A/B bench (bench/simd_bench.cc) at pinned seeds and one kernel thread, writing the committed
 # BENCH_simd.json speedup table at the repo root, then the quantized-
 # serving bench (bench/quant_bench.cc) writing BENCH_quant.json
 # (bytes/user and serve-dot / top-K timings at fp64/fp16/int8). Seeds

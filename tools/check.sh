@@ -87,9 +87,219 @@ summary() {
   fi
 }
 
+# run_stage_table <skip-reason> <name> <function> [<name> <function>]...
+# Walks one ordered list of (stage name, function) pairs: runs each stage
+# when <skip-reason> is empty, otherwise records each as SKIP with that
+# reason. The run path and the skip path therefore always cover the same
+# stages, so no stage can drop out of the summary when its build fails.
+run_stage_table() {
+  local reason="$1"; shift
+  while [ $# -ge 2 ]; do
+    if [ -z "$reason" ]; then
+      run_stage "$1" "$2"
+    else
+      skip_stage "$1" "$reason"
+    fi
+    shift 2
+  done
+}
+
+# build_then <build-name> <build-function> <name> <function>...
+# Runs the build stage, then the table after it, or skips that table with
+# "build failed".
+build_then() {
+  local name="$1" build="$2"; shift 2
+  run_stage "$name" "$build"
+  if [ "${STAGE_RESULTS[-1]}" = "PASS" ]; then
+    run_stage_table "" "$@"
+  else
+    run_stage_table "build failed" "$@"
+  fi
+}
+
+# --- release build: stage functions and their table --------------------------
+build_release() {
+  cmake -B build -S . -DCMAKE_BUILD_TYPE=Release && cmake --build build -j
+}
+release_ctest() { ctest --test-dir build "$@" --output-on-failure -j; }
+# Same suite on the multi-threaded kernels: the parallel runtime's
+# contract is bit-identical results, so every expectation must hold
+# unchanged at MSOPDS_THREADS=4.
+ctest_mt() { MSOPDS_THREADS=4 release_ctest; }
+# Same suite with buffer recycling off: the arena's contract is
+# bit-identical results, so the whole tier must also pass with every
+# allocation going straight to the heap.
+ctest_arena_off() { MSOPDS_ARENA=0 release_ctest; }
+# Same suite with the vector backends forced off at runtime: the
+# scalar/SIMD bit-exactness contract (DESIGN.md §14) means every
+# expectation must hold unchanged on the scalar reference kernels.
+ctest_simd_off() { MSOPDS_SIMD=0 release_ctest; }
+# SIMD parity label on the probed (vector) backend: the scalar-vs-vector
+# bit contract, kept as a named stage so the gate is visible and
+# runnable on its own.
+ctest_simd_parity() { release_ctest -L simd; }
+# Quantized-serving suite on the probed (vector) backend and with the
+# vector paths forced off: the per-precision bit-identity and ranking
+# parity bounds (DESIGN.md §15) must hold on both arms.
+ctest_quant() { release_ctest -L quant; }
+ctest_quant_simd_off() { MSOPDS_SIMD=0 release_ctest -L quant; }
+# Standalone quantization parity CLI: kernel dispatch bit parity over
+# every vector-tail remainder class, round-trip bounds, and end-to-end
+# top-K backend/thread parity.
+quant_parity() { ./build/tools/quant_check; }
+# Serving suite pinned to both thread counts: the engine's lists must
+# be bit-identical to the offline reference at any pool size, so the
+# label runs once serial and once multi-threaded.
+ctest_serve_t1() { MSOPDS_THREADS=1 release_ctest -L serve; }
+ctest_serve_t4() { MSOPDS_THREADS=4 release_ctest -L serve; }
+# Overload/chaos suite pinned to both thread counts: the chaos replay
+# contract is identical shed/reject/degraded traces at any pool size.
+# (`-L serve` above matches the serve_fault label too — regex match —
+# but the explicit stages keep the robustness gate visible and runnable
+# on its own.)
+ctest_serve_fault_t1() { MSOPDS_THREADS=1 release_ctest -L serve_fault; }
+ctest_serve_fault_t4() { MSOPDS_THREADS=4 release_ctest -L serve_fault; }
+# Million-user substrate suite (DESIGN.md §17): shard-merge and
+# out-of-core training bit-identity, streaming-ingest equivalence, and
+# the orchestrator's SIGKILL-a-worker recovery contract.
+ctest_scale() { release_ctest -L scale; }
+# Crash-safe sweep smoke: a real 2-worker subprocess sweep over a
+# 4-cell toy grid, exercising dispatch, segment merge, and clean
+# shutdown outside the test harness.
+sweep_smoke() {
+  local dir
+  dir=$(mktemp -d) || return 1
+  ./build/tools/sweep_runner --mode=master --workers=2 \
+    --work_dir="$dir" --cells=4 --users=32 --items=24 --epochs=2
+  local rc=$?
+  [ $rc -eq 0 ] && [ -s "$dir/sweep.ckpt" ]
+  rc=$?
+  rm -rf "$dir"
+  return $rc
+}
+verify_graph() { ./build/tools/verify_graph; }
+# Determinism/concurrency linter over the whole source tree: raw sync
+# primitives outside util/sync.h, ambient RNG, unordered iteration
+# feeding output order, unguarded members of mutex-owning classes
+# (DESIGN.md §13).
+determinism_lint() { ./build/tools/determinism_lint; }
+# Write-overlap pass alone (also part of verify-graph above): every
+# registered parallel kernel's chunk grid proven disjoint, plus the
+# checker's planted-violation self-test.
+overlap_verify() { ./build/tools/verify_graph --overlap-only; }
+
+RELEASE_STAGES=(
+  ctest-release            release_ctest
+  ctest-release-mt4        ctest_mt
+  ctest-release-arena-off  ctest_arena_off
+  ctest-release-simd-off   ctest_simd_off
+  ctest-simd-parity        ctest_simd_parity
+  ctest-quant              ctest_quant
+  ctest-quant-simd-off     ctest_quant_simd_off
+  quant-parity             quant_parity
+  ctest-serve-t1           ctest_serve_t1
+  ctest-serve-t4           ctest_serve_t4
+  ctest-serve-fault-t1     ctest_serve_fault_t1
+  ctest-serve-fault-t4     ctest_serve_fault_t4
+  ctest-scale              ctest_scale
+  sweep-smoke              sweep_smoke
+  verify-graph             verify_graph
+  determinism-lint         determinism_lint
+  overlap-verify           overlap_verify
+)
+
+# --- sanitizer legs: Debug builds so MSOPDS_CHECK/auto-verify stay in --------
+# Each sanitizer also gets one multi-threaded pass over the parallel suite,
+# so races in the runtime are caught even without a TSan toolchain. The
+# functions read the leg's build tree from $san_dir.
+build_san() {
+  cmake -B "$san_dir" -S . -DCMAKE_BUILD_TYPE=Debug \
+        -DMSOPDS_SANITIZE="$san" \
+    && cmake --build "$san_dir" -j
+}
+san_ctest() { ctest --test-dir "$san_dir" "$@" --output-on-failure -j; }
+ctest_san_mt() { MSOPDS_THREADS=4 san_ctest -L parallel; }
+# Memory suite under the sanitizer: recycled-buffer misuse (the arena's
+# poisoned free lists) must fault, not pass silently.
+ctest_san_memory() { san_ctest -L memory; }
+# SIMD suite under the sanitizer: intrinsic loads past a buffer's end are
+# exactly the class ASan/UBSan catch.
+ctest_san_simd() { san_ctest -L simd; }
+# Quantized-serving suite under the sanitizer: the int8/fp16 tail loads
+# and the quantize-time buffer sizing are exactly the class ASan/UBSan
+# catch (plus UB from any out-of-range rounding).
+ctest_san_quant() { san_ctest -L quant; }
+# Scale suite under the sanitizer: mmap'd shard payload reads, the
+# ingest spill buffers, and the orchestrator's fork/pipe lifetime
+# handling are exactly the class ASan/UBSan catch.
+ctest_san_scale() { san_ctest -L scale; }
+
+# san_stage_table <san>: sets SAN_STAGES to the leg's table.
+san_stage_table() {
+  SAN_STAGES=(
+    "ctest-$1"         san_ctest
+    "ctest-$1-mt4"     ctest_san_mt
+    "ctest-$1-memory"  ctest_san_memory
+    "ctest-$1-simd"    ctest_san_simd
+    "ctest-$1-quant"   ctest_san_quant
+    "ctest-$1-scale"   ctest_san_scale
+  )
+}
+
+# ThreadSanitizer leg: the serving engine is the repo's first
+# reader/writer-concurrent code path, so its hot-swap must be checked by a
+# race detector, not only by assertions. TSan and ASan cannot share a
+# build, hence a dedicated tree running the `serve` label.
+build_thread() {
+  cmake -B build-thread -S . -DCMAKE_BUILD_TYPE=Debug \
+        -DMSOPDS_SANITIZE=thread \
+    && cmake --build build-thread -j
+}
+ctest_thread_serve() {
+  MSOPDS_THREADS=4 ctest --test-dir build-thread -L serve \
+    --output-on-failure -j
+}
+# Overload/chaos suite under TSan: rejection, shedding, degraded routing,
+# and retry/backoff all cross the queue mutex and the snapshot/fallback
+# slots concurrently — race-check them explicitly.
+ctest_thread_serve_fault() {
+  MSOPDS_THREADS=4 ctest --test-dir build-thread -L serve_fault \
+    --output-on-failure -j
+}
+
+THREAD_STAGES=(
+  ctest-thread-serve        ctest_thread_serve
+  ctest-thread-serve-fault  ctest_thread_serve_fault
+)
+
 # --- script self-checks (always run; catches rot in the scripts) ------------
+# Besides parsing both scripts, every stage-table row must name a defined
+# function, and no stage name may appear twice across the tables (the
+# summary would be ambiguous).
+stage_tables() {
+  local rc=0 i san duplicates
+  local -a rows=("${RELEASE_STAGES[@]}" "${THREAD_STAGES[@]}")
+  for san in address undefined; do
+    san_stage_table "$san"
+    rows+=("${SAN_STAGES[@]}")
+  done
+  for ((i = 1; i < ${#rows[@]}; i += 2)); do
+    if ! declare -F "${rows[i]}" > /dev/null; then
+      echo "stage ${rows[i - 1]}: no function ${rows[i]}" >&2
+      rc=1
+    fi
+  done
+  duplicates=$(for ((i = 0; i < ${#rows[@]}; i += 2)); do
+                 echo "${rows[i]}"
+               done | sort | uniq -d)
+  if [ -n "$duplicates" ]; then
+    echo "duplicate stage name(s): $duplicates" >&2
+    rc=1
+  fi
+  return $rc
+}
 shell_syntax() {
-  bash -n tools/check.sh && bash -n tools/lint.sh
+  bash -n tools/check.sh && bash -n tools/lint.sh && stage_tables
 }
 run_stage "shell-syntax" shell_syntax
 
@@ -102,137 +312,7 @@ if [ $SMOKE -eq 1 ]; then
 fi
 
 # --- release build + tests + graph verifier ---------------------------------
-build_release() {
-  cmake -B build -S . -DCMAKE_BUILD_TYPE=Release && cmake --build build -j
-}
-run_stage "build-release" build_release
-if [ "${STAGE_RESULTS[-1]}" = "PASS" ]; then
-  run_stage "ctest-release" ctest --test-dir build --output-on-failure -j
-  # Same suite on the multi-threaded kernels: the parallel runtime's
-  # contract is bit-identical results, so every expectation must hold
-  # unchanged at MSOPDS_THREADS=4.
-  ctest_mt() {
-    MSOPDS_THREADS=4 ctest --test-dir build --output-on-failure -j
-  }
-  run_stage "ctest-release-mt4" ctest_mt
-  # Same suite with buffer recycling off: the arena's contract is
-  # bit-identical results, so the whole tier must also pass with every
-  # allocation going straight to the heap.
-  ctest_arena_off() {
-    MSOPDS_ARENA=0 ctest --test-dir build --output-on-failure -j
-  }
-  run_stage "ctest-release-arena-off" ctest_arena_off
-  # Same suite with the vector backends forced off at runtime: the
-  # scalar/SIMD bit-exactness contract (DESIGN.md §14) means every
-  # expectation must hold unchanged on the scalar reference kernels.
-  ctest_simd_off() {
-    MSOPDS_SIMD=0 ctest --test-dir build --output-on-failure -j
-  }
-  run_stage "ctest-release-simd-off" ctest_simd_off
-  # SIMD/compiled-tape parity label on the probed (vector) backend: the
-  # scalar-vs-vector and compiled-vs-eager bit contracts, kept as a
-  # named stage so the gate is visible and runnable on its own.
-  ctest_simd_parity() {
-    ctest --test-dir build -L simd --output-on-failure -j
-  }
-  run_stage "ctest-simd-parity" ctest_simd_parity
-  # Quantized-serving suite on the probed (vector) backend and with the
-  # vector paths forced off: the per-precision bit-identity and ranking
-  # parity bounds (DESIGN.md §15) must hold on both arms.
-  ctest_quant() {
-    ctest --test-dir build -L quant --output-on-failure -j
-  }
-  run_stage "ctest-quant" ctest_quant
-  ctest_quant_simd_off() {
-    MSOPDS_SIMD=0 ctest --test-dir build -L quant --output-on-failure -j
-  }
-  run_stage "ctest-quant-simd-off" ctest_quant_simd_off
-  # Standalone quantization parity CLI: kernel dispatch bit parity over
-  # every vector-tail remainder class, round-trip bounds, and end-to-end
-  # top-K backend/thread parity.
-  run_stage "quant-parity" ./build/tools/quant_check
-  # Serving suite pinned to both thread counts: the engine's lists must
-  # be bit-identical to the offline reference at any pool size, so the
-  # label runs once serial and once multi-threaded.
-  ctest_serve_t1() {
-    MSOPDS_THREADS=1 ctest --test-dir build -L serve --output-on-failure -j
-  }
-  run_stage "ctest-serve-t1" ctest_serve_t1
-  ctest_serve_t4() {
-    MSOPDS_THREADS=4 ctest --test-dir build -L serve --output-on-failure -j
-  }
-  run_stage "ctest-serve-t4" ctest_serve_t4
-  # Overload/chaos suite pinned to both thread counts: the chaos replay
-  # contract is identical shed/reject/degraded traces at any pool size.
-  # (`-L serve` above matches the serve_fault label too — regex match —
-  # but the explicit stages keep the robustness gate visible and runnable
-  # on its own.)
-  ctest_serve_fault_t1() {
-    MSOPDS_THREADS=1 ctest --test-dir build -L serve_fault \
-      --output-on-failure -j
-  }
-  run_stage "ctest-serve-fault-t1" ctest_serve_fault_t1
-  ctest_serve_fault_t4() {
-    MSOPDS_THREADS=4 ctest --test-dir build -L serve_fault \
-      --output-on-failure -j
-  }
-  run_stage "ctest-serve-fault-t4" ctest_serve_fault_t4
-  # Million-user substrate suite (DESIGN.md §17): shard-merge and
-  # out-of-core training bit-identity, streaming-ingest equivalence, and
-  # the orchestrator's SIGKILL-a-worker recovery contract.
-  ctest_scale() {
-    ctest --test-dir build -L scale --output-on-failure -j
-  }
-  run_stage "ctest-scale" ctest_scale
-  # Crash-safe sweep smoke: a real 2-worker subprocess sweep over a
-  # 4-cell toy grid, exercising dispatch, segment merge, and clean
-  # shutdown outside the test harness.
-  sweep_smoke() {
-    local dir
-    dir=$(mktemp -d) || return 1
-    ./build/tools/sweep_runner --mode=master --workers=2 \
-      --work_dir="$dir" --cells=4 --users=32 --items=24 --epochs=2
-    local rc=$?
-    [ $rc -eq 0 ] && [ -s "$dir/sweep.ckpt" ]
-    rc=$?
-    rm -rf "$dir"
-    return $rc
-  }
-  run_stage "sweep-smoke" sweep_smoke
-  run_stage "verify-graph" ./build/tools/verify_graph
-  # Determinism/concurrency linter over the whole source tree: raw sync
-  # primitives outside util/sync.h, ambient RNG, unordered iteration
-  # feeding output order, unguarded members of mutex-owning classes
-  # (DESIGN.md §13).
-  run_stage "determinism-lint" ./build/tools/determinism_lint
-  # Write-overlap pass alone (also part of verify-graph above): every
-  # registered parallel kernel's chunk grid proven disjoint, plus the
-  # checker's planted-violation self-test.
-  run_stage "overlap-verify" ./build/tools/verify_graph --overlap-only
-  # Compiled-tape planning pass alone (also part of verify-graph above):
-  # every registry example's tape compiled, its arena offsets checked
-  # for lifetime overlap, and one replay bit-compared to an uncompiled
-  # reference run.
-  run_stage "compile-verify" ./build/tools/verify_graph --compile-only
-else
-  skip_stage "ctest-release" "build failed"
-  skip_stage "ctest-release-mt4" "build failed"
-  skip_stage "ctest-release-arena-off" "build failed"
-  skip_stage "ctest-release-simd-off" "build failed"
-  skip_stage "ctest-simd-parity" "build failed"
-  skip_stage "ctest-quant" "build failed"
-  skip_stage "ctest-quant-simd-off" "build failed"
-  skip_stage "quant-parity" "build failed"
-  skip_stage "ctest-serve-t1" "build failed"
-  skip_stage "ctest-serve-t4" "build failed"
-  skip_stage "ctest-serve-fault-t1" "build failed"
-  skip_stage "ctest-serve-fault-t4" "build failed"
-  skip_stage "ctest-scale" "build failed"
-  skip_stage "sweep-smoke" "build failed"
-  skip_stage "verify-graph" "build failed"
-  skip_stage "determinism-lint" "build failed"
-  skip_stage "overlap-verify" "build failed"
-fi
+build_then build-release build_release "${RELEASE_STAGES[@]}"
 
 # --- clang-tidy over src/ ----------------------------------------------------
 if command -v clang-tidy > /dev/null 2>&1; then
@@ -262,96 +342,20 @@ else
   skip_stage "thread-safety" "clang++ not installed (-Wthread-safety is Clang-only)"
 fi
 
-# --- sanitizer matrix: Debug builds so MSOPDS_CHECK/auto-verify stay in -----
-# Each sanitizer also gets one multi-threaded pass over the parallel suite,
-# so races in the runtime are caught even without a TSan toolchain.
+# --- sanitizer matrix ---------------------------------------------------------
 if [ $SANITIZERS -eq 1 ]; then
   for san in address undefined; do
-    dir="build-$san"
-    build_san() {
-      cmake -B "$dir" -S . -DCMAKE_BUILD_TYPE=Debug \
-            -DMSOPDS_SANITIZE="$san" \
-        && cmake --build "$dir" -j
-    }
-    run_stage "build-$san" build_san
-    if [ "${STAGE_RESULTS[-1]}" = "PASS" ]; then
-      run_stage "ctest-$san" ctest --test-dir "$dir" --output-on-failure -j
-      ctest_san_mt() {
-        MSOPDS_THREADS=4 ctest --test-dir "$dir" -L parallel \
-          --output-on-failure -j
-      }
-      run_stage "ctest-$san-mt4" ctest_san_mt
-      # Memory suite under the sanitizer: recycled-buffer misuse (the
-      # arena's poisoned free lists) must fault, not pass silently.
-      ctest_san_memory() {
-        ctest --test-dir "$dir" -L memory --output-on-failure -j
-      }
-      run_stage "ctest-$san-memory" ctest_san_memory
-      # SIMD/compiled-tape suite under the sanitizer: intrinsic loads
-      # past a buffer's end and slab-offset bugs in the tape planner are
-      # exactly the class ASan/UBSan catch.
-      ctest_san_simd() {
-        ctest --test-dir "$dir" -L simd --output-on-failure -j
-      }
-      run_stage "ctest-$san-simd" ctest_san_simd
-      # Quantized-serving suite under the sanitizer: the int8/fp16 tail
-      # loads and the quantize-time buffer sizing are exactly the class
-      # ASan/UBSan catch (plus UB from any out-of-range rounding).
-      ctest_san_quant() {
-        ctest --test-dir "$dir" -L quant --output-on-failure -j
-      }
-      run_stage "ctest-$san-quant" ctest_san_quant
-      # Scale suite under the sanitizer: mmap'd shard payload reads,
-      # the ingest spill buffers, and the orchestrator's fork/pipe
-      # lifetime handling are exactly the class ASan/UBSan catch.
-      ctest_san_scale() {
-        ctest --test-dir "$dir" -L scale --output-on-failure -j
-      }
-      run_stage "ctest-$san-scale" ctest_san_scale
-    else
-      skip_stage "ctest-$san" "build failed"
-      skip_stage "ctest-$san-mt4" "build failed"
-      skip_stage "ctest-$san-memory" "build failed"
-      skip_stage "ctest-$san-simd" "build failed"
-      skip_stage "ctest-$san-quant" "build failed"
-      skip_stage "ctest-$san-scale" "build failed"
-    fi
+    san_dir="build-$san"
+    san_stage_table "$san"
+    build_then "build-$san" build_san "${SAN_STAGES[@]}"
   done
-  # ThreadSanitizer leg: the serving engine is the repo's first
-  # reader/writer-concurrent code path, so its hot-swap must be checked
-  # by a race detector, not only by assertions. TSan and ASan cannot
-  # share a build, hence a dedicated tree running the `serve` label.
   if echo 'int main(){return 0;}' | g++ -x c++ -fsanitize=thread - \
        -o /tmp/msopds_tsan_probe$$ > /dev/null 2>&1; then
     rm -f /tmp/msopds_tsan_probe$$
-    build_thread() {
-      cmake -B build-thread -S . -DCMAKE_BUILD_TYPE=Debug \
-            -DMSOPDS_SANITIZE=thread \
-        && cmake --build build-thread -j
-    }
-    run_stage "build-thread" build_thread
-    if [ "${STAGE_RESULTS[-1]}" = "PASS" ]; then
-      ctest_thread_serve() {
-        MSOPDS_THREADS=4 ctest --test-dir build-thread -L serve \
-          --output-on-failure -j
-      }
-      run_stage "ctest-thread-serve" ctest_thread_serve
-      # Overload/chaos suite under TSan: rejection, shedding, degraded
-      # routing, and retry/backoff all cross the queue mutex and the
-      # snapshot/fallback slots concurrently — race-check them explicitly.
-      ctest_thread_serve_fault() {
-        MSOPDS_THREADS=4 ctest --test-dir build-thread -L serve_fault \
-          --output-on-failure -j
-      }
-      run_stage "ctest-thread-serve-fault" ctest_thread_serve_fault
-    else
-      skip_stage "ctest-thread-serve" "build failed"
-      skip_stage "ctest-thread-serve-fault" "build failed"
-    fi
+    build_then build-thread build_thread "${THREAD_STAGES[@]}"
   else
-    skip_stage "build-thread" "toolchain has no TSan runtime"
-    skip_stage "ctest-thread-serve" "toolchain has no TSan runtime"
-    skip_stage "ctest-thread-serve-fault" "toolchain has no TSan runtime"
+    run_stage_table "toolchain has no TSan runtime" \
+      build-thread build_thread "${THREAD_STAGES[@]}"
   fi
 else
   skip_stage "sanitizers" "--no-sanitizers"
