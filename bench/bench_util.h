@@ -25,10 +25,12 @@
 //                           N-th executed (non-resumed) cell
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <system_error>
 #include <vector>
@@ -263,12 +265,52 @@ inline void WriteRepStatsFields(JsonWriter* json, const std::string& prefix,
   json->Key(prefix + "_spread").Double(stats.spread);
 }
 
+/// A bad flag value is a usage error: names the flag, the value and what
+/// was expected, then exits 2 (like an unknown flag or dataset name).
+[[noreturn]] inline void BadFlagValue(const char* flag, const std::string& text,
+                                      const std::string& expected) {
+  std::fprintf(stderr, "%s: invalid value '%s'; expected %s\n", flag,
+               text.c_str(), expected.c_str());
+  std::exit(2);
+}
+
+/// Strict integer flag value: the whole token must parse and lie in
+/// [min, max]; "2x", "x" and "" are usage errors, never 0 or a prefix.
+inline int64_t ParseIntFlag(const char* flag, const std::string& text,
+                            int64_t min, int64_t max) {
+  errno = 0;
+  char* end = nullptr;
+  const long long value = std::strtoll(text.c_str(), &end, 10);
+  if (text.empty() || *end != '\0' || errno == ERANGE || value < min ||
+      value > max) {
+    BadFlagValue(flag, text,
+                 StrFormat("an integer in [%lld, %lld]",
+                           static_cast<long long>(min),
+                           static_cast<long long>(max)));
+  }
+  return value;
+}
+
+/// Strict real flag value: the whole token must parse and satisfy
+/// `in_range`, which `expected` describes.
+inline double ParseRealFlag(const char* flag, const std::string& text,
+                            bool (*in_range)(double), const char* expected) {
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || *end != '\0' || errno == ERANGE || !in_range(value)) {
+    BadFlagValue(flag, text, expected);
+  }
+  return value;
+}
+
 struct BenchFlags {
   double scale = 0.12;
   /// 0 = "use the bench's own default" (see ResolveRepeats).
   int repeats = 0;
   uint64_t seed = 7;
-  std::vector<std::string> datasets = ExperimentDatasetNames();
+  /// Empty = "use the bench's own default" (see ResolveDatasets).
+  std::vector<std::string> datasets;
   std::vector<int> budgets = {2, 3, 4, 5};
   std::vector<int> opponents = {1, 2, 3, 4};
   std::vector<std::string> methods;
@@ -285,6 +327,9 @@ struct BenchFlags {
   int fault_crash_cell = -1;
 
   static BenchFlags Parse(int argc, char** argv) {
+    constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+    constexpr int64_t kSeedMax = std::numeric_limits<int64_t>::max();
+    auto probability = [](double x) { return x >= 0.0 && x <= 1.0; };
     BenchFlags flags;
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
@@ -294,11 +339,15 @@ struct BenchFlags {
         return nullptr;
       };
       if (const char* v = value_of("--scale=")) {
-        flags.scale = std::atof(v);
+        flags.scale = ParseRealFlag(
+            "--scale", v, [](double x) { return x > 0.0 && x <= 1.0; },
+            "a dataset fraction in (0, 1]");
       } else if (const char* v = value_of("--repeats=")) {
-        flags.repeats = std::atoi(v);
+        flags.repeats =
+            static_cast<int>(ParseIntFlag("--repeats", v, 1, kIntMax));
       } else if (const char* v = value_of("--seed=")) {
-        flags.seed = static_cast<uint64_t>(std::atoll(v));
+        flags.seed =
+            static_cast<uint64_t>(ParseIntFlag("--seed", v, 0, kSeedMax));
       } else if (const char* v = value_of("--datasets=")) {
         flags.datasets.clear();
         for (auto& part : StrSplit(v, ',')) {
@@ -313,26 +362,33 @@ struct BenchFlags {
       } else if (const char* v = value_of("--budgets=")) {
         flags.budgets.clear();
         for (auto& part : StrSplit(v, ','))
-          flags.budgets.push_back(std::atoi(part.c_str()));
+          flags.budgets.push_back(
+              static_cast<int>(ParseIntFlag("--budgets", part, 1, 100)));
       } else if (const char* v = value_of("--opponents=")) {
         flags.opponents.clear();
         for (auto& part : StrSplit(v, ','))
-          flags.opponents.push_back(std::atoi(part.c_str()));
+          flags.opponents.push_back(
+              static_cast<int>(ParseIntFlag("--opponents", part, 1, 100)));
       } else if (const char* v = value_of("--methods=")) {
         flags.methods.clear();
         for (auto& part : StrSplit(v, ',')) flags.methods.push_back(part);
       } else if (const char* v = value_of("--threads=")) {
-        flags.threads = std::atoi(v);
+        flags.threads = static_cast<int>(
+            ParseIntFlag("--threads", v, 0, ThreadPool::kMaxThreads));
       } else if (const char* v = value_of("--checkpoint=")) {
         flags.checkpoint = v;
       } else if (const char* v = value_of("--fault_nan=")) {
-        flags.fault_nan = std::atof(v);
+        flags.fault_nan = ParseRealFlag("--fault_nan", v, probability,
+                                        "a probability in [0, 1]");
       } else if (const char* v = value_of("--fault_cg=")) {
-        flags.fault_cg = std::atof(v);
+        flags.fault_cg = ParseRealFlag("--fault_cg", v, probability,
+                                       "a probability in [0, 1]");
       } else if (const char* v = value_of("--fault_seed=")) {
-        flags.fault_seed = static_cast<uint64_t>(std::atoll(v));
+        flags.fault_seed =
+            static_cast<uint64_t>(ParseIntFlag("--fault_seed", v, 0, kSeedMax));
       } else if (const char* v = value_of("--fault_crash_cell=")) {
-        flags.fault_crash_cell = std::atoi(v);
+        flags.fault_crash_cell = static_cast<int>(
+            ParseIntFlag("--fault_crash_cell", v, -1, kIntMax));
       } else {
         std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
         std::exit(2);
@@ -344,6 +400,12 @@ struct BenchFlags {
   /// Repeats to use given this bench's default.
   int ResolveRepeats(int bench_default) const {
     return repeats > 0 ? repeats : bench_default;
+  }
+
+  /// Datasets to use given this bench's default.
+  std::vector<std::string> ResolveDatasets(
+      std::vector<std::string> bench_default) const {
+    return datasets.empty() ? bench_default : datasets;
   }
 
   FaultConfig MakeFaultConfig() const {

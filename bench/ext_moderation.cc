@@ -100,7 +100,7 @@ int Main(int argc, char** argv) {
   if (flags.methods.empty()) {
     flags.methods = {"Random", "RevAdv", "Trial", "MSOPDS-real", "MSOPDS"};
   }
-  if (flags.datasets.size() == 3) flags.datasets = {"epinions"};
+  flags.datasets = flags.ResolveDatasets({"epinions"});
   const int budget = 5;
 
   std::printf(

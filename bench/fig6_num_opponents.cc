@@ -14,6 +14,7 @@ namespace {
 int Main(int argc, char** argv) {
   BenchFlags flags = BenchFlags::Parse(argc, argv);
   flags.repeats = flags.ResolveRepeats(1);
+  flags.datasets = flags.ResolveDatasets(ExperimentDatasetNames());
   const std::vector<std::string> methods =
       flags.methods.empty() ? StandardMethods() : flags.methods;
   const int attacker_budget = 5;

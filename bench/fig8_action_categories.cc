@@ -19,7 +19,7 @@ int Main(int argc, char** argv) {
   flags.repeats = flags.ResolveRepeats(2);
   if (flags.methods.empty()) flags.methods = Fig8Methods();
   // The paper runs this ablation on Epinions.
-  if (flags.datasets.size() == 3) flags.datasets = {"epinions"};
+  flags.datasets = flags.ResolveDatasets({"epinions"});
 
   std::printf(
       "=== Fig. 8: poisoning-action categories (one opponent), scale %.2f "

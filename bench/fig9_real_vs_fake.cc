@@ -18,7 +18,7 @@ int Main(int argc, char** argv) {
   BenchFlags flags = BenchFlags::Parse(argc, argv);
   flags.repeats = flags.ResolveRepeats(2);
   if (flags.methods.empty()) flags.methods = Fig9Methods();
-  if (flags.datasets.size() == 3) flags.datasets = {"epinions"};
+  flags.datasets = flags.ResolveDatasets({"epinions"});
 
   std::printf(
       "=== Fig. 9: real users vs fake accounts (one opponent), scale %.2f "

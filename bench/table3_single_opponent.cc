@@ -14,6 +14,7 @@ namespace {
 int Main(int argc, char** argv) {
   BenchFlags flags = BenchFlags::Parse(argc, argv);
   flags.repeats = flags.ResolveRepeats(2);
+  flags.datasets = flags.ResolveDatasets(ExperimentDatasetNames());
   const std::vector<std::string> methods =
       flags.methods.empty() ? StandardMethods() : flags.methods;
 

@@ -1,15 +1,14 @@
 #include "recsys/trainer.h"
 
-#include <algorithm>
 #include <cmath>
 #include <memory>
+#include <utility>
 
 #include "tensor/grad.h"
 #include "tensor/optim.h"
 #include "util/arena.h"
 #include "util/fault.h"
 #include "util/logging.h"
-#include "util/rng.h"
 #include "util/string_util.h"
 #include "util/thread_pool.h"
 
@@ -26,14 +25,16 @@ std::unique_ptr<Optimizer> MakeOptimizer(const TrainOptions& options,
 
 }  // namespace
 
-TrainResult TrainModel(RatingModel* model, const std::vector<Rating>& ratings,
-                       const TrainOptions& options) {
-  MSOPDS_CHECK(model != nullptr);
-  MSOPDS_CHECK_GT(options.epochs, 0);
-  MSOPDS_CHECK_GE(options.batch_size, 0);
-  MSOPDS_CHECK_GE(options.max_retries, 0);
-  MSOPDS_CHECK_GT(options.retry_decay, 0.0);
-  MSOPDS_CHECK_GE(options.num_threads, 0);
+StatusOr<TrainResult> TrainFullBatch(std::vector<Variable>* params,
+                                     const TrainOptions& options,
+                                     const LossAndGradFn& loss_and_grad) {
+  if (options.epochs <= 0) {
+    return Status::InvalidArgument("epochs must be positive");
+  }
+  if (options.max_retries < 0 || options.retry_decay <= 0.0 ||
+      options.num_threads < 0) {
+    return Status::InvalidArgument("invalid retry/thread options");
+  }
   if (options.num_threads > 0) {
     ThreadPool::Global().SetNumThreads(options.num_threads);
   }
@@ -44,11 +45,6 @@ TrainResult TrainModel(RatingModel* model, const std::vector<Rating>& ratings,
 
   double learning_rate = options.learning_rate;
   std::unique_ptr<Optimizer> optimizer = MakeOptimizer(options, learning_rate);
-
-  Rng shuffle_rng(options.shuffle_seed);
-  std::vector<Rating> shuffled = ratings;
-
-  std::vector<Variable>* params = model->MutableParams();
   FaultInjector& faults = FaultInjector::Global();
   DivergenceDetector detector(options.divergence);
   int retries_left = options.max_retries;
@@ -67,43 +63,17 @@ TrainResult TrainModel(RatingModel* model, const std::vector<Rating>& ratings,
       }
     }
 
+    std::vector<Tensor> grads;
+    StatusOr<double> loss = loss_and_grad(&grads);
+    if (!loss.ok()) return loss.status();
+    const double epoch_loss = loss.value();
+    faults.MaybeCorruptTrainerGradients(&grads);
     Health health = Health::kHealthy;
-    double epoch_loss = 0.0;
-    if (options.batch_size == 0 ||
-        options.batch_size >= static_cast<int>(ratings.size())) {
-      Variable loss = model->TrainingLoss(ratings);
-      epoch_loss = loss.value().item();
-      std::vector<Tensor> grads = GradValues(loss, *params);
-      faults.MaybeCorruptTrainerGradients(&grads);
-      if (options.guard_numerics &&
-          (!std::isfinite(epoch_loss) || !AllFinite(grads))) {
-        health = Health::kNonFinite;
-      } else {
-        optimizer->Step(params, grads);
-      }
+    if (options.guard_numerics &&
+        (!std::isfinite(epoch_loss) || !AllFinite(grads))) {
+      health = Health::kNonFinite;
     } else {
-      shuffle_rng.Shuffle(&shuffled);
-      int batches = 0;
-      for (size_t start = 0; start < shuffled.size();
-           start += static_cast<size_t>(options.batch_size)) {
-        const size_t end = std::min(
-            shuffled.size(), start + static_cast<size_t>(options.batch_size));
-        const std::vector<Rating> batch(shuffled.begin() + start,
-                                        shuffled.begin() + end);
-        Variable loss = model->TrainingLoss(batch);
-        const double batch_loss = loss.value().item();
-        epoch_loss += batch_loss;
-        ++batches;
-        std::vector<Tensor> grads = GradValues(loss, *params);
-        faults.MaybeCorruptTrainerGradients(&grads);
-        if (options.guard_numerics &&
-            (!std::isfinite(batch_loss) || !AllFinite(grads))) {
-          health = Health::kNonFinite;
-          break;
-        }
-        optimizer->Step(params, grads);
-      }
-      epoch_loss /= std::max(1, batches);
+      optimizer->Step(params, grads);
     }
     if (options.guard_numerics && health == Health::kHealthy) {
       health = detector.Observe(epoch_loss);
@@ -119,7 +89,7 @@ TrainResult TrainModel(RatingModel* model, const std::vector<Rating>& ratings,
         result.failure = StrFormat(
             "epoch %d %s after %d retries (learning rate %.3g)", epoch,
             HealthToString(health).c_str(), result.retries, learning_rate);
-        MSOPDS_LOG(Warning) << "TrainModel giving up: " << result.failure;
+        MSOPDS_LOG(Warning) << "training giving up: " << result.failure;
         break;
       }
       --retries_left;
@@ -127,7 +97,7 @@ TrainResult TrainModel(RatingModel* model, const std::vector<Rating>& ratings,
       learning_rate *= options.retry_decay;
       optimizer = MakeOptimizer(options, learning_rate);
       detector.Reset();
-      MSOPDS_LOG(Warning) << "TrainModel epoch " << epoch << " "
+      MSOPDS_LOG(Warning) << "training epoch " << epoch << " "
                           << HealthToString(health)
                           << "; retrying with learning rate " << learning_rate;
       --epoch;  // retry the same epoch at the decayed learning rate
@@ -139,8 +109,9 @@ TrainResult TrainModel(RatingModel* model, const std::vector<Rating>& ratings,
       MSOPDS_LOG(Info) << "epoch " << (epoch + 1) << " loss " << epoch_loss;
     }
   }
-  Variable final_loss = model->TrainingLoss(ratings);
-  result.final_loss = final_loss.value().item();
+  StatusOr<double> final_loss = loss_and_grad(nullptr);
+  if (!final_loss.ok()) return final_loss.status();
+  result.final_loss = final_loss.value();
   // Even with the guard off, a non-finite model must never be reported
   // as healthy (the "no silent NaN" contract).
   if (!std::isfinite(result.final_loss) && result.healthy) {
@@ -148,6 +119,22 @@ TrainResult TrainModel(RatingModel* model, const std::vector<Rating>& ratings,
     result.failure = "non-finite final loss";
   }
   return result;
+}
+
+TrainResult TrainModel(RatingModel* model, const std::vector<Rating>& ratings,
+                       const TrainOptions& options) {
+  MSOPDS_CHECK(model != nullptr);
+  std::vector<Variable>* params = model->MutableParams();
+  StatusOr<TrainResult> result = TrainFullBatch(
+      params, options,
+      [&](std::vector<Tensor>* grads) -> StatusOr<double> {
+        Variable loss = model->TrainingLoss(ratings);
+        const double value = loss.value().item();
+        if (grads != nullptr) *grads = GradValues(loss, *params);
+        return value;
+      });
+  MSOPDS_CHECK(result.ok()) << result.status().ToString();
+  return std::move(result).value();
 }
 
 }  // namespace msopds

@@ -1,29 +1,26 @@
 #ifndef MSOPDS_RECSYS_TRAINER_H_
 #define MSOPDS_RECSYS_TRAINER_H_
 
+#include <functional>
 #include <string>
 #include <vector>
 
 #include "recsys/rating_model.h"
 #include "util/health.h"
+#include "util/status.h"
 
 namespace msopds {
 
 /// Optimizer choice for full-batch training.
 enum class OptimizerKind { kAdam, kSgd };
 
-/// Training options (paper Eq. (1): minimize MSE + L2 to convergence).
+/// Full-batch training options (paper Eq. (1): minimize MSE + L2 to
+/// convergence).
 struct TrainOptions {
   int epochs = 60;
   double learning_rate = 0.05;
   OptimizerKind optimizer = OptimizerKind::kAdam;
   double momentum = 0.9;  // only for kSgd
-  /// Mini-batch size; 0 trains full-batch (the default — the victim
-  /// models here are small enough that full-batch is both faster and
-  /// deterministic). Batches are re-shuffled each epoch from
-  /// `shuffle_seed`.
-  int batch_size = 0;
-  uint64_t shuffle_seed = 1;
   /// Log loss every `log_every` epochs (0 = silent).
   int log_every = 0;
   /// Kernel thread count for this run: > 0 resizes the global ThreadPool
@@ -62,6 +59,25 @@ struct TrainResult {
   std::string failure;
 };
 
+/// Full-batch loss at the current parameters. When `grads` is non-null
+/// the callback also writes d loss / d params into it, one tensor per
+/// parameter in order (the vector arrives empty). A failed status (say,
+/// an I/O error of a streaming pass) ends the run.
+using LossAndGradFn =
+    std::function<StatusOr<double>(std::vector<Tensor>* grads)>;
+
+/// The one full-batch epoch driver behind TrainModel and
+/// scale::TrainMfOutOfCore. Per epoch it snapshots `params`, calls
+/// `loss_and_grad`, applies the FaultInjector trainer hook, checks the
+/// loss and gradients are finite, takes one optimizer step and feeds the
+/// loss to the DivergenceDetector; an unhealthy epoch is rolled back and
+/// retried at a decayed learning rate (see TrainOptions). The final loss
+/// is one more gradient-free call. Invalid options are InvalidArgument;
+/// a callback error is returned as is.
+StatusOr<TrainResult> TrainFullBatch(std::vector<Variable>* params,
+                                     const TrainOptions& options,
+                                     const LossAndGradFn& loss_and_grad);
+
 /// Full-batch first-order training of any RatingModel. This is the
 /// *victim* training path: gradients are detached each step (no unrolled
 /// graph), unlike the PDS surrogate's recorded inner loop. With
@@ -69,6 +85,7 @@ struct TrainResult {
 /// or via FaultInjector — can never reach the returned parameters: the
 /// epoch is rolled back and retried at a lower learning rate, and
 /// exhaustion is reported in the TrainResult instead of returning NaNs.
+/// Invalid options abort.
 TrainResult TrainModel(RatingModel* model, const std::vector<Rating>& ratings,
                        const TrainOptions& options = {});
 

@@ -1,6 +1,7 @@
 #ifndef MSOPDS_SCALE_BLOCK_TRAINER_H_
 #define MSOPDS_SCALE_BLOCK_TRAINER_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -11,17 +12,9 @@
 namespace msopds {
 namespace scale {
 
-/// Outcome of an out-of-core training run. The training fields mirror
-/// TrainResult; the scale fields report what the shard-at-a-time driver
-/// actually touched.
-struct OutOfCoreResult {
-  std::vector<double> loss_history;
-  double final_loss = 0.0;
-  int retries = 0;
-  int fault_events = 0;
-  bool healthy = true;
-  std::string failure;
-
+/// Outcome of an out-of-core training run: the shared driver's
+/// TrainResult plus what the shard-at-a-time pass actually touched.
+struct OutOfCoreResult : TrainResult {
   /// Shard loads across all epochs (including the final-loss pass).
   int64_t shards_visited = 0;
   /// Largest single shard file touched — the out-of-core working set is
@@ -35,16 +28,16 @@ struct OutOfCoreResult {
 /// count (the equivalence contract of DESIGN.md §17, asserted by
 /// ctest -L scale):
 ///
+///  - the epochs, rollback, retries and fault injection run in
+///    TrainFullBatch, the driver TrainModel uses;
 ///  - the shard CSR enumerates ratings in exactly the canonical
 ///    user-major order, so the manual gradient loop replays the tape's
 ///    per-rating accumulation sequence;
-///  - the loss replicates Tensor::Sum's fixed kReduceGrain chunk grid
-///    and pairwise partial fold, streamed across shard boundaries, so
-///    the scalar loss — and with it the divergence detector, the retry
-///    trace, and fault-injection behavior — matches to the last bit.
+///  - the loss sums through ChunkedSum, the streaming form of
+///    Tensor::Sum, across shard boundaries, so the scalar loss — and
+///    with it the divergence detector and the retry trace — matches to
+///    the last bit.
 ///
-/// Only full-batch runs are supported (options.batch_size must be 0;
-/// mini-batch shuffling is a cross-shard permutation by design).
 /// `resident` keeps every shard mapped for the whole run (the in-memory
 /// comparison arm of BENCH_scale); the default re-maps one shard at a
 /// time, bounding peak RSS by the largest shard.

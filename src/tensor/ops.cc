@@ -765,7 +765,7 @@ Variable ScatterAddRows(const Variable& g, const IndexVec& idx, int64_t rows) {
   const Tensor& t = g.value();
   MSOPDS_CHECK_EQ(t.rank(), 2);
   MSOPDS_CHECK_EQ(t.dim(0), static_cast<int64_t>(idx->size()));
-  const int64_t k = t.dim(0), d = t.dim(1);
+  const int64_t d = t.dim(1);
   const IndexView dst(idx);
   Tensor out({rows, d});
   const double* pt = t.data();

@@ -328,6 +328,10 @@ MSOPDS_SCALAR_NOVEC inline double DotF16(const uint16_t* a, const uint16_t* b,
 
 // ---------------------------------------------------------------------------
 // AVX2 backend (x86-64). Per-function target attributes; never fmadd.
+// The elementwise kernels stop their vector loop at vector_end = n - n % 4
+// and start the scalar tail there, so the tail's trip count is explicit:
+// with a constant n inlined, GCC cannot otherwise bound the tail loop and
+// warns (-Waggressive-loop-optimizations).
 // ---------------------------------------------------------------------------
 
 #if defined(MSOPDS_SIMD_X86)
@@ -385,13 +389,13 @@ __attribute__((target("avx2"))) inline double MaxAbs(const double* a,
 __attribute__((target("avx2"))) inline void Axpy(double alpha, const double* x,
                                                  double* y, int64_t n) {
   const __m256d va = _mm256_set1_pd(alpha);
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
+  const int64_t vector_end = n - n % 4;
+  for (int64_t i = 0; i < vector_end; i += 4) {
     const __m256d vy = _mm256_loadu_pd(y + i);
     const __m256d vx = _mm256_loadu_pd(x + i);
     _mm256_storeu_pd(y + i, _mm256_add_pd(vy, _mm256_mul_pd(va, vx)));
   }
-  for (; i < n; ++i) y[i] += alpha * x[i];
+  for (int64_t i = vector_end; i < n; ++i) y[i] += alpha * x[i];
 }
 
 __attribute__((target("avx2"))) inline void Axpy4(
@@ -401,8 +405,8 @@ __attribute__((target("avx2"))) inline void Axpy4(
   const __m256d va1 = _mm256_set1_pd(alpha4[1]);
   const __m256d va2 = _mm256_set1_pd(alpha4[2]);
   const __m256d va3 = _mm256_set1_pd(alpha4[3]);
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
+  const int64_t vector_end = n - n % 4;
+  for (int64_t i = 0; i < vector_end; i += 4) {
     __m256d vy = _mm256_loadu_pd(y + i);
     vy = _mm256_add_pd(vy, _mm256_mul_pd(va0, _mm256_loadu_pd(x0 + i)));
     vy = _mm256_add_pd(vy, _mm256_mul_pd(va1, _mm256_loadu_pd(x1 + i)));
@@ -410,7 +414,7 @@ __attribute__((target("avx2"))) inline void Axpy4(
     vy = _mm256_add_pd(vy, _mm256_mul_pd(va3, _mm256_loadu_pd(x3 + i)));
     _mm256_storeu_pd(y + i, vy);
   }
-  for (; i < n; ++i) {
+  for (int64_t i = vector_end; i < n; ++i) {
     y[i] = (((y[i] + alpha4[0] * x0[i]) + alpha4[1] * x1[i]) +
             alpha4[2] * x2[i]) +
            alpha4[3] * x3[i];
@@ -420,100 +424,100 @@ __attribute__((target("avx2"))) inline void Axpy4(
 __attribute__((target("avx2"))) inline void AddInPlace(double* y,
                                                        const double* x,
                                                        int64_t n) {
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
+  const int64_t vector_end = n - n % 4;
+  for (int64_t i = 0; i < vector_end; i += 4) {
     _mm256_storeu_pd(
         y + i, _mm256_add_pd(_mm256_loadu_pd(y + i), _mm256_loadu_pd(x + i)));
   }
-  for (; i < n; ++i) y[i] += x[i];
+  for (int64_t i = vector_end; i < n; ++i) y[i] += x[i];
 }
 
 __attribute__((target("avx2"))) inline void Add(const double* a,
                                                 const double* b, double* out,
                                                 int64_t n) {
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
+  const int64_t vector_end = n - n % 4;
+  for (int64_t i = 0; i < vector_end; i += 4) {
     _mm256_storeu_pd(
         out + i,
         _mm256_add_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)));
   }
-  for (; i < n; ++i) out[i] = a[i] + b[i];
+  for (int64_t i = vector_end; i < n; ++i) out[i] = a[i] + b[i];
 }
 
 __attribute__((target("avx2"))) inline void Sub(const double* a,
                                                 const double* b, double* out,
                                                 int64_t n) {
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
+  const int64_t vector_end = n - n % 4;
+  for (int64_t i = 0; i < vector_end; i += 4) {
     _mm256_storeu_pd(
         out + i,
         _mm256_sub_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)));
   }
-  for (; i < n; ++i) out[i] = a[i] - b[i];
+  for (int64_t i = vector_end; i < n; ++i) out[i] = a[i] - b[i];
 }
 
 __attribute__((target("avx2"))) inline void Mul(const double* a,
                                                 const double* b, double* out,
                                                 int64_t n) {
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
+  const int64_t vector_end = n - n % 4;
+  for (int64_t i = 0; i < vector_end; i += 4) {
     _mm256_storeu_pd(
         out + i,
         _mm256_mul_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)));
   }
-  for (; i < n; ++i) out[i] = a[i] * b[i];
+  for (int64_t i = vector_end; i < n; ++i) out[i] = a[i] * b[i];
 }
 
 __attribute__((target("avx2"))) inline void Div(const double* a,
                                                 const double* b, double* out,
                                                 int64_t n) {
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
+  const int64_t vector_end = n - n % 4;
+  for (int64_t i = 0; i < vector_end; i += 4) {
     _mm256_storeu_pd(
         out + i,
         _mm256_div_pd(_mm256_loadu_pd(a + i), _mm256_loadu_pd(b + i)));
   }
-  for (; i < n; ++i) out[i] = a[i] / b[i];
+  for (int64_t i = vector_end; i < n; ++i) out[i] = a[i] / b[i];
 }
 
 __attribute__((target("avx2"))) inline void Scale(const double* a, double alpha,
                                                   double* out, int64_t n) {
   const __m256d va = _mm256_set1_pd(alpha);
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
+  const int64_t vector_end = n - n % 4;
+  for (int64_t i = 0; i < vector_end; i += 4) {
     _mm256_storeu_pd(out + i, _mm256_mul_pd(_mm256_loadu_pd(a + i), va));
   }
-  for (; i < n; ++i) out[i] = a[i] * alpha;
+  for (int64_t i = vector_end; i < n; ++i) out[i] = a[i] * alpha;
 }
 
 __attribute__((target("avx2"))) inline void Offset(const double* a,
                                                    double alpha, double* out,
                                                    int64_t n) {
   const __m256d va = _mm256_set1_pd(alpha);
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
+  const int64_t vector_end = n - n % 4;
+  for (int64_t i = 0; i < vector_end; i += 4) {
     _mm256_storeu_pd(out + i, _mm256_add_pd(_mm256_loadu_pd(a + i), va));
   }
-  for (; i < n; ++i) out[i] = a[i] + alpha;
+  for (int64_t i = vector_end; i < n; ++i) out[i] = a[i] + alpha;
 }
 
 __attribute__((target("avx2"))) inline void Neg(const double* a, double* out,
                                                 int64_t n) {
   const __m256d sign = _mm256_set1_pd(-0.0);
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
+  const int64_t vector_end = n - n % 4;
+  for (int64_t i = 0; i < vector_end; i += 4) {
     _mm256_storeu_pd(out + i, _mm256_xor_pd(_mm256_loadu_pd(a + i), sign));
   }
-  for (; i < n; ++i) out[i] = -a[i];
+  for (int64_t i = vector_end; i < n; ++i) out[i] = -a[i];
 }
 
 __attribute__((target("avx2"))) inline void Sqrt(const double* a, double* out,
                                                  int64_t n) {
-  int64_t i = 0;
-  for (; i + 4 <= n; i += 4) {
+  const int64_t vector_end = n - n % 4;
+  for (int64_t i = 0; i < vector_end; i += 4) {
     _mm256_storeu_pd(out + i, _mm256_sqrt_pd(_mm256_loadu_pd(a + i)));
   }
-  for (; i < n; ++i) out[i] = std::sqrt(a[i]);
+  for (int64_t i = vector_end; i < n; ++i) out[i] = std::sqrt(a[i]);
 }
 
 // int8 dot via the 16-wide madd lane pipeline: widen each int8 half-load

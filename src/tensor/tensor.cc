@@ -148,6 +148,16 @@ double Tensor::Sum() const {
       });
 }
 
+double ChunkedSum::Result() {
+  if (fill_ > 0) CloseChunk();
+  return FoldPartialSums(chunk_sums_);
+}
+
+void ChunkedSum::CloseChunk() {
+  chunk_sums_.push_back(simd::Sum(chunk_.data(), static_cast<int64_t>(fill_)));
+  fill_ = 0;
+}
+
 double Tensor::MaxAbs() const {
   if (!defined()) return 0.0;
   const double* values = data_->data();

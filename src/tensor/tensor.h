@@ -17,6 +17,34 @@ namespace msopds {
 /// Sum plan) rebuilds the same partial-slot grid the kernel runs.
 inline constexpr int64_t kReduceGrain = 32768;
 
+/// Streaming form of Tensor::Sum for values that are never held in one
+/// buffer (the out-of-core trainer's per-rating errors). Pushed values
+/// close a chunk every kReduceGrain elements; each chunk is summed with
+/// simd::Sum and the partials go through FoldPartialSums, the fold
+/// ParallelReduceSum uses. The chunk grid is a pure function of the push
+/// index, so pushing a tensor's elements in order yields Tensor::Sum's
+/// result bit for bit however the pushes are split.
+class ChunkedSum {
+ public:
+  ChunkedSum() : chunk_(static_cast<size_t>(kReduceGrain)) {}
+
+  void Push(double value) {
+    chunk_[fill_++] = value;
+    if (fill_ == chunk_.size()) CloseChunk();
+  }
+
+  /// Sum of every value pushed. Closes the open chunk, so call it once,
+  /// after the last Push.
+  double Result();
+
+ private:
+  void CloseChunk();
+
+  std::vector<double> chunk_;
+  size_t fill_ = 0;
+  std::vector<double> chunk_sums_;
+};
+
 /// Flat element view of a tensor buffer used inside kernels: indexing is
 /// bounds-checked in Debug builds (MSOPDS_DCHECK) and compiles down to a
 /// raw pointer access in Release, unlike Tensor::at() which pays rank and

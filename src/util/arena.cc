@@ -1,8 +1,6 @@
 #include "util/arena.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 #include "util/logging.h"
 
@@ -39,16 +37,6 @@ int ClassIndex(int64_t capacity) {
   int index = 0;
   while ((int64_t{1} << index) < capacity) ++index;
   return index;
-}
-
-bool EnvEnabled() {
-  static const bool enabled = [] {
-    const char* env = std::getenv("MSOPDS_ARENA");
-    if (env == nullptr) return true;
-    return !(std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0 ||
-             std::strcmp(env, "false") == 0);
-  }();
-  return enabled;
 }
 
 void FillPoison(double* block, int64_t capacity) {
@@ -103,9 +91,7 @@ double* Arena::Allocate(int64_t num_doubles) {
   stats_.bytes_live += payload_bytes;
   stats_.high_water_bytes = std::max(stats_.high_water_bytes,
                                      stats_.bytes_live);
-  const bool pooled = (enabled_override_ == -1 ? EnvEnabled()
-                                               : enabled_override_ != 0) &&
-                      capacity <= kMaxClassDoubles;
+  const bool pooled = enabled_ && capacity <= kMaxClassDoubles;
   if (pooled) {
     std::vector<double*>& list = free_lists_[ClassIndex(capacity)];
     if (!list.empty()) {
@@ -126,9 +112,7 @@ void Arena::Deallocate(double* block, int64_t num_doubles) {
 
   MutexLock lock(mutex_);
   stats_.bytes_live -= num_doubles * 8;
-  const bool pooled = (enabled_override_ == -1 ? EnvEnabled()
-                                               : enabled_override_ != 0) &&
-                      capacity <= kMaxClassDoubles;
+  const bool pooled = enabled_ && capacity <= kMaxClassDoubles;
   if (!pooled) {
     delete[] block;
     return;
@@ -177,14 +161,13 @@ void Arena::ResetPeak() {
 
 bool Arena::enabled() const {
   MutexLock lock(mutex_);
-  return enabled_override_ == -1 ? EnvEnabled() : enabled_override_ != 0;
+  return enabled_;
 }
 
 bool Arena::SetEnabled(bool enabled) {
   MutexLock lock(mutex_);
-  const bool previous =
-      enabled_override_ == -1 ? EnvEnabled() : enabled_override_ != 0;
-  enabled_override_ = enabled ? 1 : 0;
+  const bool previous = enabled_;
+  enabled_ = enabled;
   return previous;
 }
 

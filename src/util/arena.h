@@ -51,11 +51,11 @@ struct ArenaStats {
 /// poisoned (__asan_poison_memory_region) until reallocated, so a stale
 /// pointer into a cached block still reports use-after-poison.
 ///
-/// The pool is on by default and switchable for A/B verification with
-/// the MSOPDS_ARENA environment variable (0/off disables recycling;
-/// SetEnabled() overrides at runtime). Allocation results are identical
-/// either way — recycled blocks are handed out exactly as a fresh
-/// allocation would be — so enabled/disabled runs are bit-identical.
+/// The pool is always on in production; SetEnabled(false) switches
+/// recycling off so tests and micro benches can run an unpooled
+/// reference twin. Allocation results are identical either way —
+/// recycled blocks are handed out exactly as a fresh allocation would
+/// be — so enabled/disabled runs are bit-identical.
 class Arena {
  public:
   /// Smallest pooled block: 64 doubles (512 bytes).
@@ -95,7 +95,8 @@ class Arena {
   void ResetPeak();
 
   bool enabled() const;
-  /// Overrides the MSOPDS_ARENA default; returns the previous value.
+  /// Switches recycling on (the default) or off; returns the previous
+  /// value.
   /// Disabling does not drop already-cached blocks (call Trim()).
   bool SetEnabled(bool enabled);
 
@@ -114,8 +115,7 @@ class Arena {
   mutable Mutex mutex_;
   std::vector<double*> free_lists_[kNumClasses] MSOPDS_GUARDED_BY(mutex_);
   ArenaStats stats_ MSOPDS_GUARDED_BY(mutex_);
-  // -1 = consult MSOPDS_ARENA lazily, else 0/1.
-  int enabled_override_ MSOPDS_GUARDED_BY(mutex_) = -1;
+  bool enabled_ MSOPDS_GUARDED_BY(mutex_) = true;
 };
 
 /// Scoped bulk release: when the outermost region on a thread of control

@@ -22,6 +22,22 @@ int64_t NumChunks(int64_t total, int64_t grain) {
   return (total + grain - 1) / grain;
 }
 
+double FoldPartialSums(std::vector<double> partials) {
+  if (partials.empty()) return 0.0;
+  // In place: level entry i reads entries 2i and 2i+1, which no earlier
+  // write of the same level has touched.
+  size_t count = partials.size();
+  while (count > 1) {
+    const size_t half = count / 2;
+    for (size_t i = 0; i < half; ++i) {
+      partials[i] = partials[2 * i] + partials[2 * i + 1];
+    }
+    if (count % 2 == 1) partials[half] = partials[count - 1];
+    count = half + count % 2;
+  }
+  return partials[0];
+}
+
 // One parallel region. Published to the workers as a shared_ptr so a
 // worker that wakes up late can still safely inspect an already-finished
 // job.
@@ -220,19 +236,7 @@ double ThreadPool::ParallelReduceSum(
               [&partial, &fn](int64_t begin, int64_t end, int64_t chunk) {
                 partial[static_cast<size_t>(chunk)] = fn(begin, end);
               });
-  // Fixed-shape pairwise tree over the chunk grid; an odd tail is carried
-  // unchanged (never "+ 0.0", which would lose -0.0).
-  while (partial.size() > 1) {
-    const size_t half = partial.size() / 2;
-    std::vector<double> next;
-    next.reserve(half + 1);
-    for (size_t i = 0; i < half; ++i) {
-      next.push_back(partial[2 * i] + partial[2 * i + 1]);
-    }
-    if (partial.size() % 2 == 1) next.push_back(partial.back());
-    partial = std::move(next);
-  }
-  return partial[0];
+  return FoldPartialSums(std::move(partial));
 }
 
 double ThreadPool::ParallelReduceMax(

@@ -20,6 +20,13 @@ namespace msopds {
 /// fixed chunk order), so results are bit-identical at any thread count.
 int64_t NumChunks(int64_t total, int64_t grain);
 
+/// The fixed-shape pairwise fold that combines per-chunk partial sums,
+/// given in chunk order: neighbours are added level by level and an odd
+/// tail is carried unchanged (never "+ 0.0", which would lose -0.0).
+/// Zero partials fold to 0.0 and one partial is returned as is. Every
+/// deterministic sum (ParallelReduceSum, ChunkedSum) folds through here.
+double FoldPartialSums(std::vector<double> partials);
+
 /// Persistent worker-thread pool behind every parallel kernel.
 ///
 /// Determinism contract (see DESIGN.md "Parallel runtime"):

@@ -117,24 +117,5 @@ TEST(TrainerRecoveryTest, DisabledGuardLetsNansThroughAndReportsThem) {
   EXPECT_FALSE(result.failure.empty());
 }
 
-TEST(TrainerRecoveryTest, MinibatchPathRollsBackMidEpochFaults) {
-  const Dataset world = SmallWorld();
-  FaultConfig faults;
-  faults.trainer_nan_probability = 1.0;
-  ScopedFaultInjection scope(faults);
-
-  Rng rng(9);
-  HetRecSys model(world, HetRecSysConfig{}, &rng);
-  TrainOptions options;
-  options.epochs = 4;
-  options.batch_size = 64;
-  options.max_retries = 2;
-  const TrainResult result = TrainModel(&model, world.ratings, options);
-
-  EXPECT_FALSE(result.healthy);
-  EXPECT_EQ(result.retries, 2);
-  EXPECT_TRUE(ParamsAllFinite(&model));
-}
-
 }  // namespace
 }  // namespace msopds

@@ -10,7 +10,9 @@
 
 #include "data/synthetic.h"
 #include "scale/sharded_dataset.h"
+#include "tensor/tensor.h"
 #include "util/arena.h"
+#include "util/fault.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 
@@ -28,6 +30,20 @@ Dataset TrainingDataset() {
   config.num_ratings = 500;
   config.num_social_links = 200;
   Rng rng(77);
+  return GenerateSynthetic(config, &rng);
+}
+
+/// Ratings for four reduction chunks, the fewest whose pairwise fold
+/// ((c0 + c1) + (c2 + c3)) differs in order from a running sum, with the
+/// chunk edges falling inside shards.
+Dataset MultiChunkDataset() {
+  SyntheticConfig config;
+  config.name = "ooc-multichunk";
+  config.num_users = 600;
+  config.num_items = 400;
+  config.num_ratings = 3 * kReduceGrain + 1000;
+  config.num_social_links = 800;
+  Rng rng(78);
   return GenerateSynthetic(config, &rng);
 }
 
@@ -67,55 +83,85 @@ void ExpectParamsBitIdentical(MatrixFactorization* expected,
 
 /// Trains the whole-dataset reference (TrainModel over the canonical
 /// user-major view) and the shard-streaming driver from identical
-/// initializations, then asserts bitwise parameter identity plus an
-/// identical loss trace.
-void CheckBitIdentity(const Dataset& dataset,
-                      const std::vector<std::string>& shard_paths,
-                      const TrainOptions& options, bool resident,
-                      const std::string& context) {
+/// initializations, each under a fresh copy of the fault plan `faults`,
+/// then asserts bitwise parameter identity plus an identical loss and
+/// retry trace. Returns the reference run's retry count.
+int CheckBitIdentity(const Dataset& dataset,
+                     const std::vector<std::string>& shard_paths,
+                     const TrainOptions& options, bool resident,
+                     const std::string& context,
+                     const FaultConfig& faults = {}) {
   MatrixFactorization reference = FreshModel(dataset);
-  const TrainResult expected =
-      TrainModel(&reference, UserMajorRatings(dataset), options);
-  ASSERT_TRUE(expected.healthy) << context << ": " << expected.failure;
+  TrainResult expected;
+  {
+    ScopedFaultInjection scope(faults);
+    expected = TrainModel(&reference, UserMajorRatings(dataset), options);
+  }
+  EXPECT_TRUE(expected.healthy) << context << ": " << expected.failure;
 
   MatrixFactorization streamed = FreshModel(dataset);
+  ScopedFaultInjection scope(faults);
   auto result = TrainMfOutOfCore(&streamed, shard_paths, options, resident);
-  ASSERT_TRUE(result.ok()) << context << ": " << result.status().ToString();
+  EXPECT_TRUE(result.ok()) << context << ": " << result.status().ToString();
+  if (!result.ok()) return expected.retries;
   const OutOfCoreResult& ooc = result.value();
   EXPECT_TRUE(ooc.healthy) << context << ": " << ooc.failure;
   EXPECT_EQ(ooc.retries, expected.retries) << context;
+  EXPECT_EQ(ooc.fault_events, expected.fault_events) << context;
 
-  ASSERT_EQ(ooc.loss_history.size(), expected.loss_history.size()) << context;
-  for (size_t e = 0; e < expected.loss_history.size(); ++e) {
-    EXPECT_EQ(ooc.loss_history[e], expected.loss_history[e])
-        << context << ": loss differs at epoch " << e;
-  }
+  EXPECT_EQ(ooc.loss_history, expected.loss_history) << context;
   EXPECT_EQ(ooc.final_loss, expected.final_loss) << context;
   ExpectParamsBitIdentical(&reference, &streamed, context);
+  return expected.retries;
 }
 
 TEST(BlockTrainerTest, BitIdenticalAcrossShardCountsThreadsAndArena) {
-  const Dataset dataset = TrainingDataset();
-  for (int64_t shards : {1, 4}) {
-    const std::string dir = FreshDir(
-        StrFormat("ooc_shards_%lld", static_cast<long long>(shards)));
-    auto paths = WriteShards(dataset, dir, shards);
-    ASSERT_TRUE(paths.ok()) << paths.status().ToString();
-    for (int threads : {1, 4}) {
-      for (bool arena_on : {false, true}) {
-        const bool previous = Arena::Global().SetEnabled(arena_on);
-        TrainOptions options;
-        options.epochs = 4;
-        options.num_threads = threads;
-        CheckBitIdentity(
-            dataset, paths.value(), options, /*resident=*/false,
-            StrFormat("shards=%lld threads=%d arena=%d",
-                      static_cast<long long>(shards), threads,
-                      arena_on ? 1 : 0));
-        Arena::Global().SetEnabled(previous);
+  const Dataset small = TrainingDataset();
+  const Dataset multi_chunk = MultiChunkDataset();
+  ASSERT_GT(static_cast<int64_t>(multi_chunk.ratings.size()), kReduceGrain);
+  for (const Dataset* dataset : {&small, &multi_chunk}) {
+    for (int64_t shards : {1, 4}) {
+      const std::string dir =
+          FreshDir(StrFormat("ooc_%s_shards_%lld", dataset->name.c_str(),
+                             static_cast<long long>(shards)));
+      auto paths = WriteShards(*dataset, dir, shards);
+      ASSERT_TRUE(paths.ok()) << paths.status().ToString();
+      for (int threads : {1, 4}) {
+        for (bool arena_on : {false, true}) {
+          const bool previous = Arena::Global().SetEnabled(arena_on);
+          TrainOptions options;
+          options.epochs = 4;
+          options.num_threads = threads;
+          CheckBitIdentity(
+              *dataset, paths.value(), options, /*resident=*/false,
+              StrFormat("%s shards=%lld threads=%d arena=%d",
+                        dataset->name.c_str(), static_cast<long long>(shards),
+                        threads, arena_on ? 1 : 0));
+          Arena::Global().SetEnabled(previous);
+        }
       }
     }
   }
+}
+
+// Seeded NaN faults on some epochs: the shared driver must roll back and
+// retry both trainers through the same trace, so retries, losses and
+// parameters still match to the bit.
+TEST(BlockTrainerTest, FaultInjectedRetriesAreBitIdentical) {
+  const Dataset dataset = TrainingDataset();
+  const std::string dir = FreshDir("ooc_faults");
+  auto paths = WriteShards(dataset, dir, 4);
+  ASSERT_TRUE(paths.ok()) << paths.status().ToString();
+  FaultConfig faults;
+  faults.seed = 11;
+  faults.trainer_nan_probability = 0.3;
+  TrainOptions options;
+  options.epochs = 12;
+  options.max_retries = 100;  // ample budget: both runs must stay healthy
+  const int retries =
+      CheckBitIdentity(dataset, paths.value(), options, /*resident=*/false,
+                       "faults", faults);
+  EXPECT_GT(retries, 0) << "the fault plan never fired";
 }
 
 TEST(BlockTrainerTest, ResidentModeIsAlsoBitIdentical) {
@@ -142,20 +188,6 @@ TEST(BlockTrainerTest, ReportsShardTraffic) {
   // Each of the 3 epochs streams all 4 shards, plus the final loss pass.
   EXPECT_EQ(result.value().shards_visited, (3 + 1) * 4);
   EXPECT_GT(result.value().peak_shard_bytes, 0);
-}
-
-TEST(BlockTrainerTest, RejectsMiniBatchOptions) {
-  const Dataset dataset = TrainingDataset();
-  const std::string dir = FreshDir("ooc_minibatch");
-  auto paths = WriteShards(dataset, dir, 2);
-  ASSERT_TRUE(paths.ok()) << paths.status().ToString();
-  MatrixFactorization model = FreshModel(dataset);
-  TrainOptions options;
-  options.epochs = 2;
-  options.batch_size = 8;  // mini-batch shuffles across shard cuts
-  auto result = TrainMfOutOfCore(&model, paths.value(), options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(BlockTrainerTest, RejectsModelShapeMismatch) {

@@ -169,6 +169,25 @@ TEST(ParallelDeterminismTest, LargeReductionMultiChunk) {
     std::vector<Variable> params = {Param(x0.Clone())};
     return ForwardAndGrads(Sum(Mul(params[0], params[0])), params);
   });
+
+  // The streaming ChunkedSum (the out-of-core loss) must equal Tensor::Sum
+  // bit for bit on both sides of every chunk-grid edge, at any thread
+  // count: both fold the same chunk partials through FoldPartialSums.
+  for (int threads : {1, 4}) {
+    ThreadPool::Global().SetNumThreads(threads);
+    for (int64_t n : {int64_t{0}, int64_t{1}, kReduceGrain - 1,
+                      kReduceGrain + 1, 3 * kReduceGrain + 5}) {
+      const Tensor x = RandomTensor({n}, &rng);
+      ChunkedSum streamed;
+      for (int64_t i = 0; i < n; ++i) streamed.Push(x.data()[i]);
+      const double want = x.Sum();
+      const double got = streamed.Result();
+      EXPECT_EQ(std::memcmp(&want, &got, sizeof(double)), 0)
+          << "n=" << n << " threads=" << threads << ": " << got << " vs "
+          << want;
+    }
+  }
+  ThreadPool::Global().SetNumThreads(1);
 }
 
 // End-to-end acceptance criterion: one full TrainModel run produces

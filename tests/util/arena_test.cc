@@ -22,11 +22,11 @@
 namespace msopds {
 namespace {
 
-// The arena is process-global and check.sh runs the suite with
-// MSOPDS_ARENA=0 as well, so every test forces recycling on and
-// restores the previous mode (these tests exercise the allocator
-// itself; determinism with the pool off is memory_determinism_test's
-// job).
+// The arena is process-global and other suites switch recycling off
+// for their unpooled reference twins, so every test forces recycling
+// on and restores the previous mode (these tests exercise the
+// allocator itself; determinism with the pool off is
+// memory_determinism_test's job).
 class ArenaTest : public ::testing::Test {
  protected:
   void SetUp() override {

@@ -126,10 +126,6 @@ release_ctest() { ctest --test-dir build "$@" --output-on-failure -j; }
 # contract is bit-identical results, so every expectation must hold
 # unchanged at MSOPDS_THREADS=4.
 ctest_mt() { MSOPDS_THREADS=4 release_ctest; }
-# Same suite with buffer recycling off: the arena's contract is
-# bit-identical results, so the whole tier must also pass with every
-# allocation going straight to the heap.
-ctest_arena_off() { MSOPDS_ARENA=0 release_ctest; }
 # Same suite with the vector backends forced off at runtime: the
 # scalar/SIMD bit-exactness contract (DESIGN.md §14) means every
 # expectation must hold unchanged on the scalar reference kernels.
@@ -191,7 +187,6 @@ overlap_verify() { ./build/tools/verify_graph --overlap-only; }
 RELEASE_STAGES=(
   ctest-release            release_ctest
   ctest-release-mt4        ctest_mt
-  ctest-release-arena-off  ctest_arena_off
   ctest-release-simd-off   ctest_simd_off
   ctest-simd-parity        ctest_simd_parity
   ctest-quant              ctest_quant
